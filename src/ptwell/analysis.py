@@ -8,7 +8,6 @@ canonical parameter regimes.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,29 +122,27 @@ def _local_extrema(x: np.ndarray, y: np.ndarray, kind: str, prominence: float = 
     return np.array(out_x), np.array(out_y)
 
 
-def trace_envelope(
-    p: WellParameters, kappa_range, density: Optional[float] = None
-) -> EnvelopeTrace:
-    """Sample F, collect its local extrema, and trace the maxima curve.
+def trace_envelope(p: WellParameters, kappa_range) -> EnvelopeTrace:
+    """Sample F on the scan grid of kappa_range and trace its envelope.
 
-    The envelope's own extrema come from the same three-point comparison
-    applied to the sequence of refined maxima.  Raises when the range
-    holds fewer than 8 maxima.
+    Raises when the range holds fewer than 8 local maxima of F.
     """
     lo, hi = kappa_range
-    if not 0 < lo < hi:
-        raise InvalidModelError("invalid kappa range")
-    if density is None:
-        density = ScanConfig(kappa_max=hi, kappa_min=lo).effective_density(p)
-    n = int(math.ceil((hi - lo) * density)) + 1
-    grid = np.linspace(lo, hi, max(n, 16))
-    f = np.real(secular(p, grid))
+    grid = ScanConfig(kappa_max=hi, kappa_min=lo).grid(p)
+    return _envelope_of(grid, np.real(secular(p, grid)))
 
+
+def _envelope_of(grid: np.ndarray, f: np.ndarray) -> EnvelopeTrace:
+    """Local extrema of sampled F and the turning points of the maxima curve.
+
+    The envelope's own extrema come from the same three-point comparison
+    applied to the sequence of refined maxima.
+    """
     mx, my = _local_extrema(grid, f, "max")
     nx, ny = _local_extrema(grid, f, "min")
     if mx.size < 8:
         raise InsufficientDataError(
-            f"only {mx.size} local maxima on ({lo}, {hi}); envelope needs at least 8"
+            f"only {mx.size} local maxima on ({grid[0]}, {grid[-1]}); envelope needs at least 8"
         )
     maxima = np.column_stack([mx, my])
     minima = np.column_stack([nx, ny])
@@ -216,13 +213,11 @@ def figure_data(figure_id: int, kappa_max: Optional[float] = None) -> FigureData
         k_hi = float(kappa_max)
     p = WellParameters(a=a, omega=omega, eta=eta)
     cfg = ScanConfig(kappa_max=k_hi, kappa_min=k_lo)
-    density = cfg.effective_density(p)
-    n = int(math.ceil((k_hi - k_lo) * density)) + 1
-    grid = np.linspace(k_lo, k_hi, n)
+    grid = cfg.grid(p)
     f = np.real(secular(p, grid))
     report = compute_spectrum(p, cfg)
     try:
-        envelope = trace_envelope(p, (k_lo, k_hi), density)
+        envelope = _envelope_of(grid, f)
     except InsufficientDataError:
         envelope = None
     try:

@@ -2,14 +2,12 @@
 
 Numeric output uses 17 significant digits so CSV and JSON round-trip
 doubles bit-faithfully.  Exit codes: 0 success, 2 usage error (argparse),
-3 computation error.  The environment variable PTWELL_THREADS caps the
-scan parallelism; output is byte-identical for any thread count.
+3 computation error.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -93,11 +91,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_scan(args) -> int:
     p = _params_from(args)
-    cfg = _config_from(args)
-    density = cfg.effective_density(p)
-    lo = 0.0 if args.entire else cfg.kappa_min
-    n = int(math.ceil((cfg.kappa_max - lo) * density)) + 1
-    grid = np.linspace(lo, cfg.kappa_max, n)
+    grid = _config_from(args).grid(p, 0.0 if args.entire else None)
     if args.entire:
         vals = np.real(entire_secular(p, grid))
         header = "kappa,H"

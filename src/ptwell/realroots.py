@@ -13,12 +13,11 @@ is replaced by a resolution-limited estimate.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     BracketingError,
@@ -26,7 +25,15 @@ from .errors import (
     ConvergenceError,
     InvalidModelError,
 )
-from .secular import WellParameters, secular, secular_scale, _g_scaled, _tau_switch, secular_det
+from .secular import (
+    WellParameters,
+    secular,
+    secular_imaginary_axis,
+    secular_scale,
+    _g_scaled,
+    _imaginary_axis_signed,
+    _tau_switch,
+)
 
 __all__ = [
     "ScanConfig",
@@ -40,7 +47,6 @@ __all__ = [
 ]
 
 _EPS = np.finfo(float).eps
-_CHUNK = 4096  # grid cells per parallel chunk; fixed so results never depend on thread count
 
 
 @dataclass(frozen=True)
@@ -68,6 +74,16 @@ class ScanConfig:
     def effective_density(self, p: WellParameters) -> float:
         # strong coupling sharpens root clustering; scale the grid with it
         return self.samples_per_unit * max(1.0, math.log10(1.0 + p.omega_sq))
+
+    def grid(self, p: WellParameters, kappa_min: Optional[float] = None) -> np.ndarray:
+        """The uniform scan grid on [kappa_min, kappa_max] at the effective density.
+
+        ``kappa_min`` overrides the configured lower bound (the scan of the
+        entire H starts at 0, where F itself is singular).
+        """
+        lo = self.kappa_min if kappa_min is None else kappa_min
+        n = int(math.ceil((self.kappa_max - lo) * self.effective_density(p))) + 1
+        return np.linspace(lo, self.kappa_max, n)
 
 
 @dataclass(frozen=True)
@@ -106,46 +122,12 @@ class SpectrumReport:
         return np.array([r.kappa for r in self.levels])
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PTWELL_THREADS", "")
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError:
-            raise InvalidModelError(f"PTWELL_THREADS must be a positive integer, got {raw!r}")
-        if n < 1:
-            raise InvalidModelError(f"PTWELL_THREADS must be a positive integer, got {raw!r}")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
-def _chunked_eval(fn: Callable[[np.ndarray], np.ndarray], grid: np.ndarray) -> np.ndarray:
-    """Evaluate fn over grid in fixed-size chunks, optionally on a thread pool.
-
-    Chunk boundaries depend only on the grid, so the concatenated result is
-    bit-identical for any thread count.
-    """
-    if grid.size <= _CHUNK:
-        return fn(grid)
-    chunks = [grid[i : i + _CHUNK] for i in range(0, grid.size, _CHUNK)]
-    workers = _thread_count()
-    if workers == 1:
-        parts = [fn(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(fn, chunks))
-    return np.concatenate(parts)
-
-
 def _local_envelope(absf: np.ndarray, window: int) -> np.ndarray:
-    """Running maximum of |F| over +-window samples (rough local amplitude)."""
-    n = absf.size
-    out = np.empty(n)
-    for i in range(n):
-        lo = max(0, i - window)
-        hi = min(n, i + window + 1)
-        out[i] = absf[lo:hi].max()
-    return out
+    """Running maximum of |F| over +-window samples (rough local amplitude).
+
+    Padding with zeros is exact because |F| >= 0.
+    """
+    return sliding_window_view(np.pad(absf, window), 2 * window + 1).max(axis=1)
 
 
 def scan_brackets(p: WellParameters, cfg: ScanConfig):
@@ -155,12 +137,11 @@ def scan_brackets(p: WellParameters, cfg: ScanConfig):
     doubled density, up to 2^10 times the base grid; dips that resolve into
     sign changes become ordinary brackets.
     """
-    density = cfg.effective_density(p)
-    n = int(math.ceil((cfg.kappa_max - cfg.kappa_min) * density)) + 1
+    grid = cfg.grid(p)
+    n = grid.size
     if n < 4:
         raise InvalidModelError("scan interval holds fewer than 4 grid points")
-    grid = np.linspace(cfg.kappa_min, cfg.kappa_max, n)
-    f = np.real(_chunked_eval(lambda k: np.real(secular(p, k)), grid))
+    f = np.real(secular(p, grid))
 
     brackets = []
     sign = np.sign(f)
@@ -174,7 +155,7 @@ def scan_brackets(p: WellParameters, cfg: ScanConfig):
         brackets.append((lo, hi))
 
     absf = np.abs(f)
-    window = max(4, int(density))
+    window = max(4, int(cfg.effective_density(p)))
     env = _local_envelope(absf, window)
     interior = np.arange(1, n - 1)
     is_min = (absf[interior] <= absf[interior - 1]) & (absf[interior] <= absf[interior + 1])
@@ -304,26 +285,17 @@ def _golden_min(f: Callable[[float], float], lo: float, hi: float, tol: float):
     return (x1, f1) if f1 < f2 else (x2, f2)
 
 
-def resolve_cluster(
-    p: WellParameters,
-    site: SuspiciousSite,
-    *,
-    secular_fn: Optional[Callable[[float], float]] = None,
-    use_winding: bool = True,
-):
+def resolve_cluster(p: WellParameters, site: SuspiciousSite):
     """Classify a suspicious dip into zero, one (tangency), or two roots.
 
-    With model parameters available the decision is made by a local
-    argument-principle count of H in a thin box around the dip: two
-    enclosed zeros plus a dip minimum consistent with zero (below the
-    1e-9 * local-scale floor) is a quasi-degenerate pair.  When a bare
-    ``secular_fn`` is supplied instead (test hook), no winding information
-    exists and a zero-consistent dip with same-sign flanks is reported as
-    a single tangency root, which avoids double counting.
+    The decision is made by a local argument-principle count of H in a thin
+    box around the dip: two enclosed zeros plus a dip minimum consistent
+    with zero (below the 1e-9 * local-scale floor) is a quasi-degenerate
+    pair, one enclosed zero is a tangency.
 
     Returns a list of (kappa, flag) pairs.
     """
-    fn = secular_fn if secular_fn is not None else (lambda k: float(np.real(secular(p, k))))
+    fn = lambda k: float(np.real(secular(p, k)))
     lo, hi = site.kappa_lo, site.kappa_hi
     width = hi - lo
     kmin, fmin_abs = _golden_min(lambda k: abs(fn(k)), lo, hi, tol=1e-13 * max(1.0, abs(lo)))
@@ -331,7 +303,7 @@ def resolve_cluster(
 
     # a dense last-chance sign scan; cheap and catches barely-resolved pairs
     grid = np.linspace(lo, hi, 4097)
-    fg = np.array([fn(k) for k in grid]) if secular_fn else np.real(secular(p, grid))
+    fg = np.real(secular(p, grid))
     sign = np.sign(fg)
     flips = np.where(sign[:-1] * sign[1:] < 0)[0]
     if flips.size:
@@ -345,11 +317,6 @@ def resolve_cluster(
     floor = 1e-9 * site.local_scale
     if abs(fmin) >= floor:
         return []  # the dip never approaches zero: no spectrum here
-
-    if secular_fn is not None or not use_winding:
-        # no winding available: same-sign flanks + zero-consistent minimum
-        # is reported as one tangency root rather than double-counted
-        return [(kmin, "tangency")]
 
     from .complexroots import ComplexRegion, winding_count  # deferred: avoids import cycle
 
@@ -403,27 +370,13 @@ def _negative_roots(p: WellParameters, tol: float):
     t_sw = _tau_switch(p)
     n = max(256, int(256 * math.log10(tau_max / 1e-3)))
     grid = np.logspace(-3, math.log10(tau_max), n)
-
-    def g(t):
-        if np.ndim(t) == 0:
-            if t <= t_sw:
-                return float(secular_det(p, 1j * float(t)).f.imag)
-            return float(_g_scaled(p, t))
-        low = t <= t_sw
-        out = np.empty_like(t)
-        if low.any():
-            out[low] = np.imag(secular_det(p, 1j * t[low]).f)
-        if (~low).any():
-            out[~low] = _g_scaled(p, t[~low])
-        return out
-
-    vals = g(grid)
+    vals = _imaginary_axis_signed(p, grid)
     sign = np.sign(vals)
     roots = []
     for i in np.where(sign[:-1] * sign[1:] < 0)[0]:
         lo, hi = grid[i], grid[i + 1]
         if hi <= t_sw or lo > t_sw:
-            tau, _ = _brent(lambda t: float(g(t)), lo, hi, tol)
+            tau, _ = _brent(lambda t: _imaginary_axis_signed(p, t), lo, hi, tol)
         else:
             tau, _ = _brent(lambda t: float(_g_scaled(p, t)), lo, hi, tol)
         roots.append(tau)
@@ -437,7 +390,7 @@ def compute_spectrum(
 
     Pair flags come both from cluster resolution and from the gap test
     (gap below cluster_threshold times the local mean spacing).  Results
-    are deterministic for fixed inputs regardless of thread chunking.
+    are deterministic for fixed inputs.
     """
     brackets, sites = scan_brackets(p, cfg)
     found = []
@@ -501,25 +454,18 @@ def compute_spectrum(
     if include_negative:
         taus = _negative_roots(p, cfg.refine_tol)
         for j, tau in enumerate(taus):
+            g = secular_imaginary_axis(p, tau)
+            if math.isinf(g):  # exp(2 tau) overflows: report the scaled value
+                g = float(_g_scaled(p, tau))
             negative.append(
                 EigenvalueRecord(
                     n=j + 1,
                     kappa=float(tau),
                     energy=-float(tau) ** 2,
-                    residual=abs(float(secular_imaginary_axis_safe(p, tau))),
+                    residual=abs(g),
                     gap_prev=None,
                     flag="negative-energy",
                 )
             )
 
     return SpectrumReport(parameters=p, config=cfg, levels=tuple(levels), negative_levels=tuple(negative))
-
-
-def secular_imaginary_axis_safe(p: WellParameters, tau: float) -> float:
-    """G(tau) clipped to the scaled value when exp(2 tau) would overflow."""
-    from .secular import secular_imaginary_axis
-
-    g = secular_imaginary_axis(p, tau)
-    if math.isinf(g):
-        return float(_g_scaled(p, tau))
-    return g

@@ -290,6 +290,22 @@ def _tau_switch(p: WellParameters) -> float:
     return min(300.0, max(20.0, 2.0 / min(p.a, 1.0 - p.a)))
 
 
+def _imaginary_axis_signed(p: WellParameters, tau):
+    """Im F(i tau) up to the overflow switch, Im F(i tau) exp(-2 tau) beyond it.
+
+    Same sign as Im F(i tau) everywhere and finite for any tau > 0; the
+    tau scan and its Brent refinement run on it.  Scalar or array tau.
+    """
+    t = np.asarray(tau, dtype=float)
+    low = t <= _tau_switch(p)
+    out = np.empty_like(t)
+    if low.any():
+        out[low] = np.imag(secular_det(p, 1j * t[low]).f)
+    if (~low).any():
+        out[~low] = _g_scaled(p, t[~low])
+    return out if out.ndim else float(out)
+
+
 def secular_imaginary_axis(p: WellParameters, tau: float) -> float:
     """G(tau) = Im F(i tau); roots tau* give bound states with E = -tau*^2.
 
@@ -300,11 +316,9 @@ def secular_imaginary_axis(p: WellParameters, tau: float) -> float:
     """
     if not tau > 0:
         raise InvalidModelError(f"tau must be positive, got {tau}")
-    if tau <= _tau_switch(p):
-        return float(secular_det(p, 1j * tau).f.imag)
-    g = float(_g_scaled(p, tau))
-    if g == 0.0:
-        return 0.0
+    g = _imaginary_axis_signed(p, tau)
+    if tau <= _tau_switch(p) or g == 0.0:
+        return g
     log_mag = 2.0 * tau + math.log(abs(g))
     if log_mag > 700.0:
         return math.inf if g > 0 else -math.inf

@@ -13,7 +13,7 @@ from ptwell import (
     resolve_cluster,
     scan_brackets,
 )
-from ptwell.realroots import SuspiciousSite, _brent
+from ptwell.realroots import SuspiciousSite, _brent, _local_envelope
 from conftest import params
 
 
@@ -73,6 +73,12 @@ class TestScanBrackets:
         with pytest.raises(InvalidModelError):
             scan_brackets(bare_box, ScanConfig(kappa_max=1.0001e-3, kappa_min=1e-3))
 
+    @pytest.mark.parametrize("n, window", [(1, 4), (7, 3), (50, 4), (50, 49), (50, 80), (300, 17)])
+    def test_local_envelope_matches_naive_running_max(self, n, window):
+        absf = np.abs(np.random.default_rng(n + window).standard_normal(n))
+        naive = [absf[max(0, i - window) : i + window + 1].max() for i in range(n)]
+        assert _local_envelope(absf, window).tolist() == naive
+
 
 class TestRefineRoot:
     def test_bare_well_half_pi(self, bare_box):
@@ -103,34 +109,18 @@ class TestRefineRoot:
 
 
 class TestResolveCluster:
-    def _stub_site(self, kappa_lo, kappa_hi, fn, scale=1.0):
-        grid = np.linspace(kappa_lo, kappa_hi, 513)
-        vals = np.array([fn(k) for k in grid])
-        i = int(np.argmin(np.abs(vals)))
-        return SuspiciousSite(
-            kappa_lo=kappa_lo,
-            kappa_hi=kappa_hi,
-            kappa_at_min=float(grid[i]),
-            f_at_min=float(vals[i]),
-            local_scale=scale,
-            refined_spacing=float(grid[1] - grid[0]),
-        )
-
-    def test_synthetic_tangency_reports_one_root(self, bare_box):
-        # constructed double root on a stub function: no winding information,
-        # so the zero-consistent dip is a single tangency root
-        fn = lambda k: (k - 2.0) ** 2
-        site = self._stub_site(1.9, 2.1, fn)
-        roots = resolve_cluster(bare_box, site, secular_fn=fn)
-        assert len(roots) == 1
-        kappa, flag = roots[0]
-        assert kappa == pytest.approx(2.0, abs=1e-3)
-        assert flag == "tangency"
-
     def test_lifted_dip_reports_no_roots(self, bare_box):
-        fn = lambda k: (k - 2.0) ** 2 + 0.5
-        site = self._stub_site(1.9, 2.1, fn)
-        assert resolve_cluster(bare_box, site, secular_fn=fn) == []
+        # F = sin(2 kappa) stays near 1 on (0.7, 0.87): no sign change and a
+        # minimum far above the zero floor, so the site holds no roots
+        site = SuspiciousSite(
+            kappa_lo=0.7,
+            kappa_hi=0.87,
+            kappa_at_min=0.7,
+            f_at_min=math.sin(1.4),
+            local_scale=1.0,
+            refined_spacing=0.17 / 512,
+        )
+        assert resolve_cluster(bare_box, site) == []
 
     def test_figure6_site_resolves_to_pair(self, fig6):
         _, sites = scan_brackets(fig6, ScanConfig(kappa_max=5.5, kappa_min=4.0))
@@ -278,14 +268,12 @@ class TestComputeSpectrum:
         rep = compute_spectrum(p, ScanConfig(kappa_max=3.0), include_negative=True)
         assert rep.negative_levels == ()
 
-    def test_determinism_across_thread_counts(self, fig1, monkeypatch):
+    def test_determinism_across_runs(self, fig1):
         cfg = ScanConfig(kappa_max=15.0)
-        monkeypatch.setenv("PTWELL_THREADS", "1")
         rep1 = compute_spectrum(fig1, cfg)
-        monkeypatch.setenv("PTWELL_THREADS", "4")
-        rep4 = compute_spectrum(fig1, cfg)
-        assert [r.kappa for r in rep1.levels] == [r.kappa for r in rep4.levels]
-        assert [r.residual for r in rep1.levels] == [r.residual for r in rep4.levels]
+        rep2 = compute_spectrum(fig1, cfg)
+        assert [r.kappa for r in rep1.levels] == [r.kappa for r in rep2.levels]
+        assert [r.residual for r in rep1.levels] == [r.residual for r in rep2.levels]
 
     def test_eta_sign_gives_identical_spectrum(self):
         cfg = ScanConfig(kappa_max=15.0)
