@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientDataError, InvalidModelError
-from .realroots import ScanConfig, SpectrumReport, compute_spectrum
+from .realroots import ScanConfig, SpectrumReport, compute_spectrum, quasi_degenerate_gaps
 from .secular import WellParameters, secular
 
 __all__ = [
@@ -181,8 +181,9 @@ def beat_period(trace: EnvelopeTrace) -> BeatStats:
 def gap_statistics(report, threshold: float = 0.1) -> GapStatistics:
     """Consecutive-gap statistics with quasi-degenerate pair flags.
 
-    A gap below ``threshold`` times the rolling 9-level median is flagged.
-    Accepts a SpectrumReport or a plain sequence of kappa values.
+    Pairs come from ``realroots.quasi_degenerate_gaps``, the rule that also
+    sets the pair flags of ``compute_spectrum``.  Accepts a SpectrumReport
+    or a plain sequence of kappa values.
     """
     if isinstance(report, SpectrumReport):
         kappas = report.kappas()
@@ -191,16 +192,9 @@ def gap_statistics(report, threshold: float = 0.1) -> GapStatistics:
     if kappas.size < 4:
         raise InsufficientDataError(f"need at least 4 levels, got {kappas.size}")
     gaps = np.diff(kappas)
-    pairs = []
-    for i, g in enumerate(gaps):
-        # the eight gaps of a nine-level window centered on this gap
-        lo = max(0, i - 4)
-        hi = min(gaps.size, i + 4)
-        med = float(np.median(gaps[lo:hi]))
-        if med > 0 and g < threshold * med:
-            pairs.append((i + 1, i + 2, float(g / med)))
+    pairs = tuple((i + 1, i + 2, ratio) for i, ratio in quasi_degenerate_gaps(gaps, threshold))
     return GapStatistics(
-        gaps=gaps, median_gap=float(np.median(gaps)), quasi_degenerate_pairs=tuple(pairs)
+        gaps=gaps, median_gap=float(np.median(gaps)), quasi_degenerate_pairs=pairs
     )
 
 

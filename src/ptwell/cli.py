@@ -16,9 +16,9 @@ import numpy as np
 
 from .analysis import FIGURE_PARAMETERS, figure_data
 from .complexroots import breaking_search
-from .errors import InsufficientDataError, PtwellError
+from .errors import PtwellError
 from .oracle import convergence_study
-from .realroots import ScanConfig, SpectrumReport, compute_spectrum
+from .realroots import ScanConfig, SpectrumReport, compute_spectrum, find_level
 from .secular import WellParameters, entire_secular, secular
 from .wavefunction import build_wavefunction, parity_decompose
 
@@ -124,17 +124,7 @@ def cmd_breaking(args) -> int:
 
 def cmd_wavefunction(args) -> int:
     p = _params_from(args)
-    kappa_max = args.kappa_max
-    report = None
-    for _ in range(8):
-        report = compute_spectrum(p, ScanConfig(kappa_max=kappa_max))
-        if len(report.levels) >= args.level:
-            break
-        kappa_max *= 2.0
-    if report is None or len(report.levels) < args.level:
-        raise InsufficientDataError(f"level {args.level} not found below kappa={kappa_max}")
-    kappa = report.levels[args.level - 1].kappa
-    psi = build_wavefunction(p, kappa)
+    psi = build_wavefunction(p, find_level(p, args.level, args.kappa_max).kappa)
     parts = parity_decompose(psi)
 
     base = [x for x in np.linspace(-1.0, 1.0, args.points) if x not in (-p.a, p.a)]

@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConvergenceError, InvalidModelError, LevelJumpError
+from .realroots import find_level
 from .secular import WellParameters
 
 __all__ = [
@@ -212,18 +213,6 @@ class ConvergenceStudy:
     monotone: bool
 
 
-def _matching_energy(p: WellParameters, level: int) -> float:
-    from .realroots import ScanConfig, compute_spectrum  # deferred: avoids import cycle
-
-    kappa_max = 8.0
-    for _ in range(8):
-        report = compute_spectrum(p, ScanConfig(kappa_max=kappa_max))
-        if len(report.levels) >= level:
-            return report.levels[level - 1].energy
-        kappa_max *= 2.0
-    raise InvalidModelError(f"could not locate level {level} below kappa={kappa_max}")
-
-
 def convergence_study(
     p: WellParameters,
     level: int,
@@ -240,7 +229,7 @@ def convergence_study(
     sig = [float(s) for s in sigmas]
     if any(s2 >= s1 for s1, s2 in zip(sig, sig[1:])):
         raise InvalidModelError("sigmas must be strictly decreasing")
-    e_match = _matching_energy(p, level)
+    e_match = find_level(p, level, 8.0).energy
     rows = []
     e_prev = complex(e_match)
     for s in sig:

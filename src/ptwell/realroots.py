@@ -23,6 +23,7 @@ from .errors import (
     BracketingError,
     ClusterError,
     ConvergenceError,
+    InsufficientDataError,
     InvalidModelError,
 )
 from .secular import (
@@ -44,6 +45,8 @@ __all__ = [
     "refine_root",
     "resolve_cluster",
     "compute_spectrum",
+    "find_level",
+    "quasi_degenerate_gaps",
 ]
 
 _EPS = np.finfo(float).eps
@@ -96,7 +99,7 @@ class EigenvalueRecord:
     energy: float
     residual: float
     gap_prev: Optional[float]
-    flag: str  # "regular" | "quasi-degenerate-pair-member" | "negative-energy"
+    flag: str  # "regular" | "quasi-degenerate-pair-member" | "tangency" | "negative-energy"
 
 
 @dataclass(frozen=True)
@@ -383,13 +386,38 @@ def _negative_roots(p: WellParameters, tol: float):
     return sorted(roots)
 
 
+def _window_medians(gaps: np.ndarray) -> np.ndarray:
+    """np.median(gaps[max(0, i-4):min(G, i+4)]) for every gap i, vectorized."""
+    i = np.arange(gaps.size)
+    nan4 = np.full(4, np.nan)
+    # row i holds gaps[i-4:i+4] of the NaN-padded gaps; NaN sorts last, so the
+    # true values of each window lead its sorted row
+    windows = np.sort(np.concatenate((nan4, gaps, nan4))[i[:, None] + np.arange(8)], axis=1)
+    length = np.minimum(i + 4, gaps.size) - np.maximum(i - 4, 0)
+    return (windows[i, (length - 1) // 2] + windows[i, length // 2]) / 2
+
+
+def quasi_degenerate_gaps(gaps, threshold: float):
+    """[(i, gaps[i] / median)] for each gap below threshold times its local median.
+
+    The local median is that of the eight gaps gaps[max(0, i-4):min(G, i+4)],
+    a nine-level window centred on gap i and truncated at the ends; a zero
+    median flags nothing.
+    """
+    gaps = np.asarray(gaps, dtype=float)
+    median = _window_medians(gaps)
+    flagged = (median > 0) & (gaps < threshold * median)
+    return [(int(i), float(gaps[i] / median[i])) for i in np.flatnonzero(flagged)]
+
+
 def compute_spectrum(
     p: WellParameters, cfg: ScanConfig, include_negative: bool = False
 ) -> SpectrumReport:
     """Full pipeline: scan, refine, resolve clusters, sort, flag, index.
 
-    Pair flags come both from cluster resolution and from the gap test
-    (gap below cluster_threshold times the local mean spacing).  Results
+    Pair flags come from cluster resolution and from ``quasi_degenerate_gaps``
+    at ``cfg.cluster_threshold``: both regular levels of each gap that
+    ``analysis.gap_statistics`` lists at that threshold are marked.  Results
     are deterministic for fixed inputs.
     """
     brackets, sites = scan_brackets(p, cfg)
@@ -423,17 +451,11 @@ def compute_spectrum(
     else:
         resid = np.array([])
 
-    # gap-based quasi-degeneracy flagging against the local mean spacing
     gaps = np.diff(kappas)
-    for i in range(len(kappas)):
-        neighbours = gaps[max(0, i - 3) : i + 3]
-        if neighbours.size == 0:
-            continue
-        local_mean = float(np.mean(neighbours))
-        for g_idx in (i - 1, i):
-            if 0 <= g_idx < gaps.size and gaps[g_idx] < cfg.cluster_threshold * local_mean:
-                if flags[i] == "regular":
-                    flags[i] = "quasi-degenerate-pair-member"
+    for i, _ in quasi_degenerate_gaps(gaps, cfg.cluster_threshold):
+        for j in (i, i + 1):
+            if flags[j] == "regular":
+                flags[j] = "quasi-degenerate-pair-member"
 
     levels = []
     for i, k in enumerate(kappas):
@@ -444,9 +466,7 @@ def compute_spectrum(
                 energy=float(k) ** 2,
                 residual=float(resid[i]),
                 gap_prev=float(gaps[i - 1]) if i > 0 else None,
-                flag="quasi-degenerate-pair-member" if flags[i].startswith("quasi") else (
-                    "tangency" if flags[i] == "tangency" else "regular"
-                ),
+                flag=flags[i],
             )
         )
 
@@ -469,3 +489,19 @@ def compute_spectrum(
             )
 
     return SpectrumReport(parameters=p, config=cfg, levels=tuple(levels), negative_levels=tuple(negative))
+
+
+def find_level(p: WellParameters, level: int, kappa_max: float) -> EigenvalueRecord:
+    """Record of the 1-based ``level``, scanning from kappa_max upward.
+
+    The scan range is doubled, up to seven times, until the spectrum holds
+    that many levels.
+    """
+    if level < 1:
+        raise InvalidModelError(f"level must be at least 1, got {level}")
+    for _ in range(8):
+        report = compute_spectrum(p, ScanConfig(kappa_max=kappa_max))
+        if len(report.levels) >= level:
+            return report.levels[level - 1]
+        kappa_max *= 2.0
+    raise InsufficientDataError(f"level {level} not found below kappa={report.config.kappa_max}")

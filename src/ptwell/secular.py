@@ -123,28 +123,31 @@ def nu(p: WellParameters, kappa):
 
 
 def matching_matrix(p: WellParameters, kappa) -> MatchingMatrix:
-    """Assemble the 4x4 matching matrix at a single (possibly complex) kappa.
+    """Assemble the 4x4 matching matrix at scalar or array (possibly complex) kappa.
 
     Rows 1-2 impose continuity of psi at x = -+a, rows 3-4 the derivative
-    jumps; all entries are real when kappa is real.
+    jumps, with m = mu and n = nu; all entries are real when kappa is real.
+    ``entries`` has shape ``kappa.shape + (4, 4)``.
     """
     _check_nonzero(kappa)
-    k = complex(kappa)
+    # flattened to 1-d: numpy scalars round some complex products differently
+    # from array loops, and a scalar call must give the bits of the array one
+    k = np.asarray(kappa, dtype=complex).reshape(-1)
     s1 = np.sin(k * (1 - p.a))
     sa = np.sin(k * p.a)
     ca = np.cos(k * p.a)
-    m = complex(mu(p, k))
-    n = complex(nu(p, k))
-    entries = np.array(
-        [
-            [s1, 0.0, -ca, 0.0],
-            [0.0, s1, 0.0, -sa],
-            [-m, n, sa, 0.0],
-            [n, m, 0.0, ca],
-        ],
-        dtype=complex,
-    )
-    return MatchingMatrix(entries=entries, kappa=k)
+    m = mu(p, k)
+    n = nu(p, k)
+    zero = np.zeros_like(s1)
+    rows = [
+        [s1, zero, -ca, zero],
+        [zero, s1, zero, -sa],
+        [-m, n, sa, zero],
+        [n, m, zero, ca],
+    ]
+    # built as (4, 4, size), so each entry m[..., i, j] is a contiguous block
+    entries = np.moveaxis(np.array(rows), (0, 1), (-2, -1)).reshape(np.shape(kappa) + (4, 4))
+    return MatchingMatrix(entries=entries, kappa=kappa)
 
 
 def _det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
@@ -156,44 +159,31 @@ def _det3(a11, a12, a13, a21, a22, a23, a31, a32, a33):
 
 
 def _det4(m):
-    """Laplace expansion of a 4x4 along the first row; m[i][j] may be arrays."""
+    """Laplace expansion along the first row of the trailing 4x4 axes of m."""
     out = 0
     sign = 1
     for j in range(4):
         cols = [c for c in range(4) if c != j]
         minor = _det3(
-            m[1][cols[0]], m[1][cols[1]], m[1][cols[2]],
-            m[2][cols[0]], m[2][cols[1]], m[2][cols[2]],
-            m[3][cols[0]], m[3][cols[1]], m[3][cols[2]],
+            m[..., 1, cols[0]], m[..., 1, cols[1]], m[..., 1, cols[2]],
+            m[..., 2, cols[0]], m[..., 2, cols[1]], m[..., 2, cols[2]],
+            m[..., 3, cols[0]], m[..., 3, cols[1]], m[..., 3, cols[2]],
         )
-        out = out + sign * m[0][j] * minor
+        out = out + sign * m[..., 0, j] * minor
         sign = -sign
     return out
 
 
 def secular_det(p: WellParameters, kappa) -> SecularValue:
-    """F(kappa) from the matching-matrix determinant, scaled by -2.
+    """F(kappa) = -2 det M(kappa), M the matching matrix.
 
     This is the authoritative definition of F.  Accepts scalar or array
-    kappa; the array path assembles the 16 entries elementwise and expands
-    by cofactors exactly as the scalar path does.
+    kappa; the determinant is a first-row cofactor expansion evaluated
+    elementwise, so each element of an array result equals the scalar call.
     """
-    _check_nonzero(kappa)
-    k = np.asarray(kappa, dtype=complex)
-    s1 = np.sin(k * (1 - p.a))
-    sa = np.sin(k * p.a)
-    ca = np.cos(k * p.a)
-    m = np.cos(k * (1 - p.a)) - (p.omega_sq / k) * s1
-    n = (p.eta / k) * s1
-    zero = np.zeros_like(s1)
-    rows = [
-        [s1, zero, -ca, zero],
-        [zero, s1, zero, -sa],
-        [-m, n, sa, zero],
-        [n, m, zero, ca],
-    ]
-    det = _det4(rows)
-    f = -2.0 * det
+    m = matching_matrix(p, kappa).entries
+    # over a 1-d stack, for the reason given in matching_matrix
+    f = (-2.0 * _det4(m.reshape(-1, 4, 4))).reshape(np.shape(kappa))
     if np.ndim(kappa) == 0:
         f = complex(f)
     return SecularValue(f=f, kappa=kappa, method="determinant")

@@ -170,6 +170,14 @@ class TestWavefunctionCommand:
         assert code == 3
         assert "level" in err
 
+    def test_level_zero_exits_3(self, capsys):
+        # levels are 1-based; 0 must not wrap round to the last level
+        code, _, err = run_cli(
+            capsys, "wavefunction", "--a", "0.5", "--omega", "0", "--eta", "0", "--level", "0"
+        )
+        assert code == 3
+        assert "level" in err
+
 
 class TestFigureCommand:
     def test_writes_bundle(self, capsys, tmp_path):

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 
 from ptwell import (
+    FIGURE_PARAMETERS,
     BracketingError,
     InvalidModelError,
     ScanConfig,
     WellParameters,
     compute_spectrum,
+    gap_statistics,
     refine_root,
     resolve_cluster,
     scan_brackets,
 )
-from ptwell.realroots import SuspiciousSite, _brent, _local_envelope
+from ptwell.realroots import SuspiciousSite, _brent, _local_envelope, _window_medians
 from conftest import params
 
 
@@ -294,3 +296,26 @@ class TestComputeSpectrum:
         assert len(rep.levels) == n_single + 2 * n_pairs
         flags = [r.flag for r in rep.levels]
         assert flags.count("quasi-degenerate-pair-member") == 2 * n_pairs
+
+
+class TestQuasiDegenerateGaps:
+    @pytest.mark.parametrize("n", [1, 3, 7, 8, 9, 40])
+    def test_window_medians_match_numpy_median(self, n):
+        gaps = np.random.default_rng(n).exponential(size=n)
+        naive = [np.median(gaps[max(0, i - 4) : i + 4]) for i in range(n)]
+        assert _window_medians(gaps).tolist() == naive
+
+    def test_spectrum_flags_both_levels_of_every_listed_pair(self):
+        # a per-level rule (gap below 0.1 of the mean of six nearby gaps)
+        # flagged only level 12 of the pair at kappa ~ 38.23 here
+        p = WellParameters(0.46029408969787067, 0.10093289254171338, 47.4033930344634)
+        rep = compute_spectrum(p, ScanConfig(kappa_max=40.0))
+        assert rep.levels[11].flag == rep.levels[12].flag == "quasi-degenerate-pair-member"
+        reports = [rep] + [
+            compute_spectrum(WellParameters(a, omega, eta), ScanConfig(kappa_max=k_hi))
+            for a, omega, eta, (_, k_hi) in FIGURE_PARAMETERS.values()
+        ]
+        for r in reports:
+            for n, m, _ in gap_statistics(r).quasi_degenerate_pairs:
+                assert r.levels[n - 1].flag == "quasi-degenerate-pair-member"
+                assert r.levels[m - 1].flag == "quasi-degenerate-pair-member"

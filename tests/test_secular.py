@@ -110,6 +110,24 @@ class TestMatchingMatrix:
         m = matching_matrix(WellParameters(a, omega, eta), kappa).entries
         assert np.all(m.imag == 0.0)
 
+    @pytest.mark.parametrize(
+        "kappa",
+        [
+            np.linspace(0.3, 40.0, 12).reshape(3, 4),
+            # first row on the real axis, the others off it
+            np.linspace(0.3, 40.0, 12).reshape(4, 3) + 1j * np.array([[0.0], [0.2], [-1.5], [3.0]]),
+        ],
+    )
+    def test_array_kappa_matches_scalar_calls(self, kappa):
+        # one matrix per element; matrix and F bit for bit those of the scalar call
+        p = make_parameters(0.65, 150.0, 20.0)
+        m = matching_matrix(p, kappa).entries
+        f = secular_det(p, kappa).f
+        assert m.shape == kappa.shape + (4, 4) and f.shape == kappa.shape
+        for idx in np.ndindex(kappa.shape):
+            assert np.array_equal(m[idx], matching_matrix(p, kappa[idx]).entries)
+            assert f[idx] == secular_det(p, kappa[idx]).f
+
     def test_determinant_is_minus_half_f(self):
         # det(M) = F * (-1/2) under the chosen scaling
         p = make_parameters(0.95, 1.5, 20.0)
