@@ -3,7 +3,9 @@
 
 Integrates the Gaussian-regularized problem for a decreasing sequence of
 widths sigma (step h = sigma/10) and prints the eigenvalue against the
-matching-method value, with the Richardson sigma -> 0 extrapolation.
+matching-method value, with the sigma -> 0 extrapolation from the last
+two widths (first-order Richardson step: the regularization shift is
+linear in sigma).
 
 Usage: python scripts/oracle_convergence.py [fig] [level] [sigma1,sigma2,...]
 """

@@ -178,17 +178,23 @@ def beat_period(trace: EnvelopeTrace) -> BeatStats:
     return BeatStats(mean=float(arr.mean()), std=float(arr.std()), spacings=tuple(arr))
 
 
-def gap_statistics(report, threshold: float = 0.1) -> GapStatistics:
+def gap_statistics(report, threshold: Optional[float] = None) -> GapStatistics:
     """Consecutive-gap statistics with quasi-degenerate pair flags.
 
     Pairs come from ``realroots.quasi_degenerate_gaps``, the rule that also
     sets the pair flags of ``compute_spectrum``.  Accepts a SpectrumReport
-    or a plain sequence of kappa values.
+    or a plain sequence of kappa values.  ``threshold`` defaults to the
+    report's ``config.cluster_threshold``, so every pair listed is flagged
+    in the report, and to 0.1 for a plain sequence.
     """
     if isinstance(report, SpectrumReport):
         kappas = report.kappas()
+        default = report.config.cluster_threshold
     else:
         kappas = np.asarray(report, dtype=float)
+        default = 0.1
+    if threshold is None:
+        threshold = default
     if kappas.size < 4:
         raise InsufficientDataError(f"need at least 4 levels, got {kappas.size}")
     gaps = np.diff(kappas)

@@ -104,6 +104,15 @@ class TestGapStatistics:
         with pytest.raises(InsufficientDataError):
             gap_statistics([1.0, 2.0, 3.0])
 
+    def test_default_threshold_is_the_reports(self):
+        # the gap ratio of levels 12 and 13 here is 0.078: above the report's
+        # cluster_threshold of 0.05, below the plain-sequence default of 0.1
+        p = WellParameters(0.46029408969787067, 0.10093289254171338, 47.4033930344634)
+        rep = compute_spectrum(p, ScanConfig(kappa_max=40.0, cluster_threshold=0.05))
+        assert all(r.flag == "regular" for r in rep.levels)
+        assert gap_statistics(rep).quasi_degenerate_pairs == ()
+        assert [pair[:2] for pair in gap_statistics(rep.kappas()).quasi_degenerate_pairs] == [(12, 13)]
+
 
 class TestFigureData:
     def test_invalid_id_rejected(self):
