@@ -10,9 +10,13 @@ vanishes at the walls by construction; the coefficients are the nullspace
 of the matching matrix at an eigen-kappa.  The phase convention (largest
 coefficient real positive) makes psi = psi_S + i psi_A with psi_S even
 and psi_A odd, both real-valued, whenever the eigenvalue is real.
+
+psi is a trigonometric polynomial on each cell, so its L2 norm and parity
+pseudo-norm are exact closed-form sums of cell integrals; no quadrature.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,7 +33,6 @@ __all__ = [
     "build_wavefunction",
     "parity_decompose",
     "norms",
-    "adaptive_simpson",
 ]
 
 
@@ -225,51 +228,41 @@ def parity_decompose(psi: Wavefunction, grid_points: int = 1001, tol: float = 1e
     return ParityParts(psi_S=psi_S, psi_A=psi_A)
 
 
-def _simpson(f, a, b, fa, fm, fb):
-    return (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+def _sin_ratio(w: complex, h: float):
+    """sin(2 w h) / (2 w), with its limit h at w = 0."""
+    return h if w == 0 else cmath.sin(2 * w * h) / (2 * w)
 
 
-def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = _simpson(f, a, m, fa, flm, fm)
-    right = _simpson(f, m, b, fm, frm, fb)
-    if depth <= 0:
-        return left + right
-    if abs(left + right - whole) <= 15.0 * tol:
-        return left + right + (left + right - whole) / 15.0
-    return _adaptive(f, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _adaptive(
-        f, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
-    )
+def norms(psi: Wavefunction):
+    """(L2 norm, parity pseudo-norm) of psi, in closed form.
 
+    l2 = (int |psi|^2)^(1/2); pseudo = int psi(-x) psi(x) dx.  With
+    kappa = p + iq, L = 1 - a, c_l = alpha - i beta and c_r = alpha + i beta,
+    the cell integrals are
 
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 40):
-    """Adaptive composite Simpson quadrature (complex-valued integrands allowed)."""
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = _simpson(f, a, b, fa, fm, fb)
-    return _adaptive(f, a, b, fa, fm, fb, whole, tol, max_depth)
+        outer = int_0^L  |sin kappa t|^2 dt = (sinh(2qL)/(2q) - sin(2pL)/(2p)) / 2
+        cc    = int_-a^a |cos kappa x|^2 dx = sinh(2qa)/(2q) + sin(2pa)/(2p)
+        ss    = int_-a^a |sin kappa x|^2 dx = sinh(2qa)/(2q) - sin(2pa)/(2p)
 
+    and the centre cross term cos(kappa x) conj(sin kappa x) is odd, so
 
-def norms(psi: Wavefunction, tol: float = 1e-10):
-    """(L2 norm, parity pseudo-norm) of psi.
+        l2^2   = (|c_l|^2 + |c_r|^2) outer + |gamma|^2 cc + |delta|^2 ss
+        pseudo = c_l c_r (L - s(L)) + gamma^2 (a + s(a)) + delta^2 (a - s(a))
 
-    l2 = (int |psi|^2)^(1/2); pseudo = int psi(-x) psi(x) dx.  Quadrature
-    splits at the interface points -+a where psi' jumps.
+    with s(h) = sin(2 kappa h)/(2 kappa); sinh(2qh)/(2q) is the same ratio
+    at w = iq.  Each ratio takes its limit h at a zero frequency, so real
+    and imaginary kappa (negative energies) are both covered.
     """
+    k = complex(psi.kappa)
     a = psi.parameters.a
-    pieces = [(-1.0, -a), (-a, a), (a, 1.0)]
-
-    def dens(x):
-        v = psi.value(np.asarray(x))
-        return float(np.real(v * np.conj(v)))
-
-    def pseudo(x):
-        return complex(psi.value(-np.asarray(x)) * psi.value(np.asarray(x)))
-
-    l2_sq = sum(adaptive_simpson(dens, lo, hi, tol) for lo, hi in pieces)
-    pt = sum(adaptive_simpson(pseudo, lo, hi, tol) for lo, hi in pieces)
-    return math.sqrt(float(np.real(l2_sq))), complex(pt)
+    L = 1.0 - a
+    cl = psi.alpha - 1j * psi.beta
+    cr = psi.alpha + 1j * psi.beta
+    p, iq = k.real, 1j * k.imag
+    outer = 0.5 * (_sin_ratio(iq, L) - _sin_ratio(p, L)).real
+    sinh_a, sin_a = _sin_ratio(iq, a).real, _sin_ratio(p, a).real
+    l2_sq = (abs(cl) ** 2 + abs(cr) ** 2) * outer + abs(psi.gamma) ** 2 * (sinh_a + sin_a)
+    l2_sq += abs(psi.delta) ** 2 * (sinh_a - sin_a)
+    sa = _sin_ratio(k, a)
+    pt = cl * cr * (L - _sin_ratio(k, L)) + psi.gamma**2 * (a + sa) + psi.delta**2 * (a - sa)
+    return math.sqrt(l2_sq), complex(pt)

@@ -4,18 +4,59 @@ import numpy as np
 import pytest
 
 from ptwell import (
+    FIGURE_PARAMETERS,
     ConventionError,
     InvalidModelError,
     NullspaceError,
     ScanConfig,
+    WellParameters,
     build_wavefunction,
     compute_spectrum,
     norms,
     nullspace_coeffs,
     parity_decompose,
 )
-from ptwell.wavefunction import Wavefunction, _nullspace_4x4, adaptive_simpson
+from ptwell.wavefunction import Wavefunction, _nullspace_4x4
 from conftest import params
+
+
+# regime 5, level 6: kappa a is within 1.4e-4 of 2 pi, so the odd state nearly
+# vanishes at x = 0, +-a/2 and +-a, the nodes an equal-spaced rule takes first
+REGIME5_LEVEL6 = 9.66710108500333
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(200)
+
+
+def _gauss_legendre_norms(psi, panels=50):
+    """(L2 norm, pseudo-norm) by a composite 200-point Gauss-Legendre rule, `panels` per cell."""
+    a = psi.parameters.a
+    l2_sq, pseudo = 0.0, 0.0j
+    for lo, hi in ((-1.0, -a), (-a, a), (a, 1.0)):
+        edges = np.linspace(lo, hi, panels + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        x = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * GL_NODES).ravel()
+        w = (half * GL_WEIGHTS).ravel()
+        v = psi.value(x)
+        l2_sq += float(np.sum(w * np.abs(v) ** 2))
+        pseudo += complex(np.sum(w * v * psi.value(-x)))
+    return math.sqrt(l2_sq), pseudo
+
+
+def _assert_norms_match_gauss_legendre(psi, rel=1e-10):
+    l2, pt = norms(psi)
+    ref_l2, ref_pt = _gauss_legendre_norms(psi)
+    assert abs(l2 - ref_l2) <= rel * ref_l2, (psi.kappa, l2, ref_l2)
+    assert abs(pt - ref_pt) <= rel * ref_l2**2, (psi.kappa, pt, ref_pt)
+
+
+def _random_wavefunction(rng, kind):
+    if kind == "real":
+        kappa = complex(rng.uniform(0.1, 40.0), 0.0)
+    elif kind == "complex":
+        kappa = complex(rng.uniform(0.1, 40.0), rng.uniform(-3.0, 3.0))
+    else:
+        kappa = complex(0.0, rng.uniform(0.1, 15.0))
+    coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
+    return Wavefunction(kappa, *coeffs, parameters=WellParameters(rng.uniform(0.05, 0.95), 1.0, 1.0))
 
 
 def _state(p, level, kappa_max=15.0):
@@ -151,11 +192,6 @@ class TestParity:
 
 
 class TestNorms:
-    def test_quadrature_against_closed_form(self):
-        # int_{-1}^{1} cos^2(pi x / 2) dx = 1 exactly
-        val = adaptive_simpson(lambda x: math.cos(math.pi * x / 2) ** 2, -1.0, 1.0, tol=1e-12)
-        assert val == pytest.approx(1.0, abs=1e-12)
-
     def test_bare_well_even_state(self, bare_box):
         psi = _state(bare_box, 1, kappa_max=5.0)
         l2, pt = norms(psi)
@@ -183,3 +219,38 @@ class TestNorms:
         psi = build_wavefunction(fig1, rep.levels[0].kappa, normalize_pseudo=True)
         _, pt = norms(psi)
         assert pt == pytest.approx(1.0 + 0j, abs=1e-9)
+
+    # the first two cases put psi's zeros (or near-zeros) on the first nodes
+    # of an equal-spaced rule, where an adaptive rule stops at once
+    def test_regime5_level6_against_gauss_legendre(self, fig5):
+        _assert_norms_match_gauss_legendre(build_wavefunction(fig5, REGIME5_LEVEL6))
+
+    def test_node_zeros_against_gauss_legendre(self):
+        p = WellParameters(a=0.5, omega=3.0, eta=0.05)
+        _assert_norms_match_gauss_legendre(build_wavefunction(p, 4 * math.pi))
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "imaginary"])
+    def test_random_states_against_gauss_legendre(self, kind):
+        # imaginary and real kappa hit the q = 0 and p = 0 limits of the closed form
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            _assert_norms_match_gauss_legendre(_random_wavefunction(rng, kind))
+
+    @pytest.mark.parametrize("fig", sorted(FIGURE_PARAMETERS))
+    def test_canonical_levels_against_gauss_legendre(self, fig):
+        a, omega, eta, (k_lo, k_hi) = FIGURE_PARAMETERS[fig]
+        p = WellParameters(a, omega, eta)
+        accepted = 0
+        for level in compute_spectrum(p, ScanConfig(kappa_max=k_hi, kappa_min=k_lo)).levels:
+            try:
+                psi = build_wavefunction(p, level.kappa)
+            except NullspaceError:
+                continue
+            accepted += 1
+            _assert_norms_match_gauss_legendre(psi)
+        assert accepted > 0
+
+    def test_pseudo_normalization_at_regime5_level6(self, fig5):
+        psi = build_wavefunction(fig5, REGIME5_LEVEL6, normalize_pseudo=True)
+        _, pt = _gauss_legendre_norms(psi)
+        assert abs(pt - 1.0) <= 1e-10
